@@ -243,6 +243,38 @@ void BM_PollNoRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_PollNoRequest);
 
+// -- poll point with metrics ON ---------------------------------------------
+// Tracing or metrics keep kPollFeatures set in the poll word for the fork
+// path's hooks.  A plain poll point must ignore that bit: with a poll at
+// every search node (apps/exec_policy.hpp) this should match
+// BM_PollNoRequest, not pay poll_slow's atomic RMWs per call.
+void BM_PollNoRequestMetered(benchmark::State& state) {
+  stu::metrics_set_enabled(true);
+  {
+    st::Runtime rt(1);
+    rt.run([&] {
+      for (auto _ : state) st::poll();
+    });
+    stu::metrics_set_enabled(false);
+  }
+}
+BENCHMARK(BM_PollNoRequestMetered);
+
+// -- poll point while a peer is parked --------------------------------------
+// The tail of a parallel solve: the other worker has futex-parked and
+// posted kPollParked, and this worker has nothing stealable, so the bit
+// stays set and every poll enters poll_slow().  That visit must not pay
+// atomic RMWs on the poll word when it has nothing to clear.
+void BM_PollParkedPeer(benchmark::State& state) {
+  st::Runtime rt(2);
+  rt.run([&] {
+    const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (rt.parked_workers() == 0 && std::chrono::steady_clock::now() < until) st::poll();
+    for (auto _ : state) st::poll();
+  });
+}
+BENCHMARK(BM_PollParkedPeer);
+
 // -- wake-from-park latency -------------------------------------------------
 // Prices the idle path's futex parking (docs/OBSERVABILITY.md): with every
 // worker parked on the work epoch, how long from injecting a root task to

@@ -4,6 +4,12 @@
 // floating-point operations in the same per-element order, so checksums
 // are directly comparable (what Figure 21 relies on when normalizing
 // parallel codes against sequential C).
+//
+// `Exec::poll()` is the kernels' poll point (the paper's manually placed
+// ST_POLLING(), Section 4.1): sequential leaves call it once per search
+// node so a victim deep in fork-free work still serves steal requests.
+// Only StExec polls; SeqExec and CkExec compile the call away, so the
+// sequential-C and cilkstyle denominators keep the leaf code they had.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +28,8 @@ struct SeqExec {
   static void par(F&&... fs) {
     (static_cast<void>(fs()), ...);
   }
+
+  static void poll() {}
 
   template <typename Body>
   static void par_for(std::size_t begin, std::size_t end, std::size_t grain, Body&& body) {
@@ -44,6 +52,8 @@ struct StExec {
      ...);
     jc.join();
   }
+
+  static void poll() { st::poll(); }
 
   template <typename Body>
   static void par_for(std::size_t begin, std::size_t end, std::size_t grain, Body&& body) {
@@ -68,6 +78,9 @@ struct CkExec {
     (g.spawn([&fs] { fs(); }), ...);
     g.sync();
   }
+
+  /// Thieves take heap frames from the deque without the victim's help.
+  static void poll() {}
 
   template <typename Body>
   static void par_for(std::size_t begin, std::size_t end, std::size_t grain, Body&& body) {

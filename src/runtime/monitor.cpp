@@ -22,6 +22,21 @@ const char* phase_name(WorkerPhase p) {
   return "?";
 }
 
+/// Who is waiting in `w`'s steal port: "none", "worker N" or
+/// "resolving".  Same racy-but-bounded contract as the deque sizes: the
+/// request lives in the thief's scheduler frame and is valid only while
+/// posted, so the port is re-read after the thief id, and a request
+/// withdrawn or served meanwhile reads as "resolving".
+std::string pending_steal(Runtime& rt, Worker& w) {
+  StealRequest* r = w.port().load(std::memory_order_acquire);
+  if (r == nullptr) return "none";
+  const std::uint32_t thief = r->thief;
+  if (w.port().load(std::memory_order_acquire) != r || thief >= rt.num_workers()) {
+    return "resolving";
+  }
+  return "worker " + std::to_string(thief);
+}
+
 }  // namespace
 
 std::string dump_runtime_state(Runtime& rt) {
@@ -35,7 +50,8 @@ std::string dump_runtime_state(Runtime& rt) {
     os << "worker " << i << ": phase=" << phase_name(w.phase())
        << " heartbeat=" << w.heartbeat_count()
        << " fork_deque=" << w.fork_deque().size()
-       << " readyq=" << w.readyq().size() << "\n";
+       << " readyq=" << w.readyq().size()
+       << " steal_request=" << pending_steal(rt, w) << "\n";
     // Section 5 classification at stacklet granularity: a live slot is an
     // exported frame (E) -- it may be continued from another worker; a
     // retired slot (R) is finished but trapped under a live one; the
@@ -77,20 +93,24 @@ std::string Monitor::last_dump() const {
 }
 
 void Monitor::on_stall(unsigned worker, std::uint64_t heartbeat) {
-  stalls_.store(stalls_.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-  std::string dump = dump_runtime_state(rt_);
-  if (cfg_.dump_to_stderr) {
-    std::fprintf(stderr,
-                 "stackthreads-mp: worker %u stalled (heartbeat %llu frozen "
-                 ">= %ld ms while working; missing st::poll()?)\n%s",
-                 worker, static_cast<unsigned long long>(heartbeat),
-                 cfg_.stall_ms, dump.c_str());
-  }
+  // A request pending in the stalled worker's port names the thief it
+  // starves: the victim serves it only at its next poll point.
+  char head[256];
+  std::snprintf(head, sizeof head,
+                "worker %u stalled (heartbeat %llu frozen >= %ld ms while "
+                "working; pending steal request: %s; missing st::poll()?)\n",
+                worker, static_cast<unsigned long long>(heartbeat), cfg_.stall_ms,
+                pending_steal(rt_, rt_.worker(worker)).c_str());
+  std::string dump = head + dump_runtime_state(rt_);
+  if (cfg_.dump_to_stderr) std::fprintf(stderr, "stackthreads-mp: %s", dump.c_str());
   {
     std::lock_guard<std::mutex> hold(dump_lock_);
     last_dump_ = std::move(dump);
   }
+  // Counted only once the dump is stored: a reader that sees the count
+  // then takes dump_lock_ after the store above, so last_dump() has it.
+  stalls_.store(stalls_.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
   // Preserve the evidence: drain live trace rings (so a later crash or the
   // atexit writer has the events leading up to the stall) and write a
   // metrics snapshot if one was requested.

@@ -50,6 +50,8 @@ class Monitor {
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
 
+  /// Stall reports so far; once it reads n, last_dump() holds the n-th
+  /// report's dump (or a later one).
   std::uint64_t stalls_detected() const noexcept {
     return stalls_.load(std::memory_order_relaxed);
   }

@@ -24,7 +24,7 @@
 
 namespace st {
 
-thread_local Worker* tl_worker = nullptr;
+constinit thread_local Worker* tl_worker = nullptr;
 
 namespace {
 
@@ -268,11 +268,6 @@ void restart(Continuation* c) {
   run_switch_msg(back);
 }
 
-void poll() {
-  Worker* w = tl_worker;
-  if (w != nullptr) w->serve_steal_request();
-}
-
 bool on_worker() noexcept { return tl_worker != nullptr; }
 
 unsigned worker_id() noexcept {
@@ -304,18 +299,18 @@ void Worker::trace_record(stu::TraceEvent ev, std::uint64_t a, std::uint64_t b) 
   trace_.emit(ev, static_cast<std::uint16_t>(id_), stu::kTraceSrcRuntime, a, b);
 }
 
-void Worker::serve_steal_request() {
-  heartbeat();  // every poll point is a liveness signal
-  if (poll_word() != 0) [[unlikely]] poll_slow();
-}
-
 void Worker::poll_slow() noexcept {
   // Clear the serviceable bits *before* acting on them: a remote post
   // racing with the clear re-sets its bit and is seen at the next poll
   // (in particular a thief that CASes the port after our exchange).
+  // Only the owner writes kPollFeatures, so a plain load shows its true
+  // state; the RMWs run only when there is something to clear or flip (a
+  // leaf poll under a long-lived kPollParked must stay cheap).
   hb::access(this, stu::kSchedAccessAtomic, hb::kSitePollWord);
-  const std::uint32_t bits =
-      poll_word_.fetch_and(~(kPollSteal | kPollSample), std::memory_order_acquire);
+  std::uint32_t bits = poll_word();
+  if (bits & (kPollSteal | kPollSample)) {
+    bits = poll_word_.fetch_and(~(kPollSteal | kPollSample), std::memory_order_acquire);
+  }
   if (bits & kPollSteal) {
     StealRequest* r = port_.exchange(nullptr, std::memory_order_acq_rel);
     if (r != nullptr) {
@@ -394,16 +389,19 @@ void Worker::poll_slow() noexcept {
       rt_.notify_work();
     }
   }
-  if (stu::metrics_enabled() || stu::trace_mask() != 0) {
-    poll_word_.fetch_or(kPollFeatures, std::memory_order_relaxed);
-  } else {
-    poll_word_.fetch_and(~kPollFeatures, std::memory_order_relaxed);
+  const bool features = stu::metrics_enabled() || stu::trace_mask() != 0;
+  if (features != ((bits & kPollFeatures) != 0)) {
+    if (features) {
+      poll_word_.fetch_or(kPollFeatures, std::memory_order_relaxed);
+    } else {
+      poll_word_.fetch_and(~kPollFeatures, std::memory_order_relaxed);
+    }
   }
 }
 
 void Worker::fork_poll_slow(Stacklet* s) noexcept {
   const std::uint32_t word = poll_word();
-  if (word & (kPollSteal | kPollSample | kPollParked)) poll_slow();
+  if (word & kPollServiceable) poll_slow();
   if (word & kPollFeatures) {
     if (s->region != nullptr) {
       trace(stu::kTraceStackletAlloc, reinterpret_cast<std::uintptr_t>(s), s->slot);

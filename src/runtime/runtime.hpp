@@ -323,10 +323,19 @@ void resume(Continuation* c);
 /// caller continues when c finishes or suspends (or on a thief).
 void restart(Continuation* c);
 
-/// Serve pending steal requests.  Called automatically at every fork
-/// point; insert manually into long fork-free stretches (the paper
-/// inserts polls following Feeley's scheme).
-void poll();
+/// Serve pending steal requests: the paper's ST_POLLING() (Section 4.1).
+/// Called automatically at every fork point; insert it into long
+/// fork-free stretches, or a victim there starves every thief that posts
+/// to it.  The shared app kernels poll through their execution policy's
+/// Exec::poll() hook (apps/exec_policy.hpp): magic's and nqueens'
+/// sequential leaves poll at each search node (magic only for the first
+/// eight cells).  Inline: with no request pending this is one TLS load,
+/// the heartbeat bump, one relaxed load of the poll word and a branch
+/// (BM_PollNoRequest); poll_slow() serves the rest.  Off a worker it
+/// does nothing.
+inline void poll() {
+  if (Worker* w = tl_worker) w->serve_steal_request();
+}
 
 /// True when the calling OS thread is a worker.
 bool on_worker() noexcept;

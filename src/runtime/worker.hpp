@@ -182,6 +182,9 @@ class alignas(stu::kCacheLine) Worker {
   static constexpr std::uint32_t kPollSample = 1u << 1;   ///< publish mirrors
   static constexpr std::uint32_t kPollParked = 1u << 2;   ///< thieves parked: poke futex
   static constexpr std::uint32_t kPollFeatures = 1u << 3; ///< trace/metrics on
+  /// Bits that need poll_slow().  kPollFeatures alone asks only for the
+  /// fork path's trace/metrics hooks, so plain poll points ignore it.
+  static constexpr std::uint32_t kPollServiceable = kPollSteal | kPollSample | kPollParked;
 
   /// Fork-deque depth publication cadence on the fork fast path
   /// (power-of-two decimation; also the deque_depth sampling rate).
@@ -218,8 +221,13 @@ class alignas(stu::kCacheLine) Worker {
   void fork_poll_slow(Stacklet* s) noexcept;
 
   /// Serve at most one pending steal request (the paper's
-  /// check_steal_request, reached from poll points).
-  void serve_steal_request();
+  /// check_steal_request, reached from poll points).  Inline: st::poll()
+  /// sits in application leaves, so the no-request case is the heartbeat
+  /// bump, one relaxed load and one branch.
+  void serve_steal_request() noexcept {
+    heartbeat();  // every poll point is a liveness signal
+    if (poll_word() & kPollServiceable) [[unlikely]] poll_slow();
+  }
 
   /// Idle-path: request a task from a victim chosen by published load;
   /// returns true if one was received and executed.
@@ -403,6 +411,8 @@ class alignas(stu::kCacheLine) Worker {
 };
 
 /// The worker executing the current OS thread, or nullptr outside workers.
-extern thread_local Worker* tl_worker;
+/// constinit: no dynamic initialization, so other translation units read
+/// it with a plain TLS load instead of a call through the TLS wrapper.
+extern constinit thread_local Worker* tl_worker;
 
 }  // namespace st

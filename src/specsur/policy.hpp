@@ -8,9 +8,9 @@
 //
 //   * the epilogue augmentation cost -- the paper's "1 load, two
 //     compares, two conditional branches" -- is modelled by
-//     CheckedPolicy::epilogue(), executed at every return of a non-leaf
-//     kernel function (the postprocessor's augmentation criterion:
-//     leaves stay clean);
+//     epilogue_check() (the Checked*Policy epilogue), executed at every
+//     return of a non-leaf kernel function (the postprocessor's
+//     augmentation criterion: leaves stay clean);
 //   * the thread-library cost is modelled by routing the kernels'
 //     allocations through a mutex (thread-safe malloc shim);
 //   * the no-inline cost is realized for real: the TU instantiating the

@@ -163,6 +163,7 @@ TEST_P(AppWorkerTest, Magic) {
 
 TEST_P(AppWorkerTest, Nqueens) {
   EXPECT_EQ(apps::nqueens::seq(8), 92);  // the textbook value
+  EXPECT_EQ(apps::nqueens::seq(9), 352);
   long got_st = 0, got_ck = 0;
   st::Runtime srt(GetParam());
   srt.run([&] { got_st = apps::nqueens::run_st(9); });

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <vector>
 
 #include "sync/join_counter.hpp"
@@ -224,6 +225,37 @@ TEST(RuntimeCore, MigrationHappensUnderMultipleWorkers) {
     ASSERT_EQ(result, 17711);
   }
   EXPECT_GT(rt.stats().steal_attempts, 0u);
+}
+
+TEST(RuntimeCore, LeafPollServesSteal) {
+  // A fork-free leaf that calls st::poll() is a victim thieves can reach:
+  // the child spins on poll points until its parent's continuation runs
+  // on the other worker, which only a steal served at one of those polls
+  // can bring about.  Without the poll the child would spin to the
+  // deadline and the continuation would resume on the root's worker.
+  st::Runtime rt(2);
+  std::atomic<bool> stolen{false};
+  bool timed_out = false;
+  rt.run([&] {
+    const unsigned root_worker = st::worker_id();
+    st::JoinCounter jc(1);
+    st::fork([&] {
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!stolen.load(std::memory_order_acquire)) {
+        st::poll();
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out = true;
+          break;
+        }
+      }
+      jc.finish();
+    });
+    if (st::worker_id() != root_worker) stolen.store(true, std::memory_order_release);
+    jc.join();
+  });
+  EXPECT_FALSE(timed_out);
+  EXPECT_TRUE(stolen.load());
+  EXPECT_GE(rt.stats().steals_served, 1u);
 }
 
 TEST(RuntimeCore, ExceptionsInsideTaskAreFineIfCaught) {

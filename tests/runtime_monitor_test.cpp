@@ -22,19 +22,15 @@ namespace {
 using namespace std::chrono_literals;
 
 // A worker that computes through a long fork-free stretch without
-// st::poll() -- the stall the watchdog exists to catch.  The wedge is
-// released from outside run() once the watchdog has fired.
+// st::poll() -- the stall the watchdog exists to catch.  The other worker
+// has a steal request waiting in the wedged worker's port, so the dump
+// must name it as the starved thief.  The wedge is released from outside
+// run() once the watchdog has fired.
 TEST(Monitor, StallFiresAndDumpShowsWorkingWorker) {
   st::RuntimeConfig cfg;
   cfg.workers = 2;
   cfg.stall_ms = 0;
   st::Runtime rt(cfg);
-
-  st::MonitorConfig mc;
-  mc.poll_ms = 5;
-  mc.stall_ms = 50;
-  mc.dump_to_stderr = false;
-  st::Monitor monitor(rt, mc);
 
   std::atomic<bool> release{false};
   std::thread driver([&] {
@@ -45,18 +41,68 @@ TEST(Monitor, StallFiresAndDumpShowsWorkingWorker) {
     });
   });
 
-  // Wait for the watchdog to fire (well over stall_ms).
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (monitor.stalls_detected() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(5ms);
+  // Find the wedged worker and post a request to its port as the other
+  // worker's thief would (Figure 10: claim the port, raise the poll bit).
+  // The monitor starts only after that, so its first report sees it.
+  // Each wait below gets its own generous deadline (ctest -j load).
+  const auto within = [](auto d) { return std::chrono::steady_clock::now() + d; };
+  auto deadline = within(5s);
+  unsigned victim = cfg.workers;
+  while (victim == cfg.workers && std::chrono::steady_clock::now() < deadline) {
+    for (unsigned i = 0; i < cfg.workers; ++i) {
+      if (rt.worker(i).phase() == st::WorkerPhase::kWorking) victim = i;
+    }
+    std::this_thread::yield();
   }
-  const std::uint64_t stalls = monitor.stalls_detected();
-  const std::string dump = monitor.last_dump();
+  const unsigned thief = victim == 0 ? 1 : 0;
+  st::StealRequest req;
+  req.thief = thief;
+  bool posted = false;
+  deadline = within(5s);
+  while (victim < cfg.workers && !posted && std::chrono::steady_clock::now() < deadline) {
+    st::StealRequest* expected = nullptr;
+    posted = rt.worker(victim).port().compare_exchange_strong(expected, &req,
+                                                             std::memory_order_acq_rel);
+    if (!posted) std::this_thread::yield();  // a real thief holds it; it cancels soon
+  }
+  if (posted) rt.worker(victim).post_poll_bits(st::Worker::kPollSteal);
+
+  st::MonitorConfig mc;
+  mc.poll_ms = 5;
+  mc.stall_ms = 50;
+  mc.dump_to_stderr = false;
+  std::uint64_t stalls = 0;
+  std::string dump;
+  {
+    st::Monitor monitor(rt, mc);
+    // Wait for the watchdog to fire (well over stall_ms).
+    deadline = within(5s);
+    while (monitor.stalls_detected() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(5ms);
+    }
+    stalls = monitor.stalls_detected();
+    dump = monitor.last_dump();
+  }
   release.store(true, std::memory_order_release);
   driver.join();
+  // The released worker answers the request at its next poll point
+  // (nothing to hand out: rejected); `req` must outlive that.
+  deadline = within(5s);
+  while (posted && req.state.load(std::memory_order_acquire) == st::StealRequest::kPosted &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
 
+  ASSERT_LT(victim, cfg.workers) << "no worker entered the wedged root";
+  ASSERT_TRUE(posted);
+  EXPECT_EQ(req.state.load(), st::StealRequest::kRejected);
   ASSERT_GE(stalls, 1u);
+  const std::string who = "worker " + std::to_string(thief);
+  EXPECT_NE(dump.find("worker " + std::to_string(victim) + " stalled"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("pending steal request: " + who), std::string::npos) << dump;
+  EXPECT_NE(dump.find("steal_request=" + who), std::string::npos) << dump;
   EXPECT_NE(dump.find("runtime dump"), std::string::npos) << dump;
   EXPECT_NE(dump.find("phase=working"), std::string::npos) << dump;
   // The dump carries the Section-5 classification summary.
