@@ -11,6 +11,12 @@
 // with ~20 instructions of assembly (context_x86_64.S), saving the six
 // SysV callee-saved registers on the source stack and switching RSP.
 //
+// Return prediction: a fork child's entry *returns* to st_ctx_fork, whose
+// tail resumes the parent with `ret` when the child completed inline, so
+// the common fork cycle is two properly nested call/ret pairs and leaves
+// the return-stack buffer balanced.  Every other switch resumes with a
+// BTB-predicted indirect jmp (context_x86_64.S explains the choice).
+//
 // The `msg` word carried across a switch implements "run this on my
 // behalf once you are off my stack": a suspending thread hands its
 // unlock/publish action to the context it switches to, which runs it
@@ -84,15 +90,32 @@ void* st_ctx_swap(void** save_sp, void* target_sp, void* msg) noexcept;
 /// finished computation leaves by switching to another context.
 using ContextEntry = void (*)(void* msg, void* arg);
 
+/// What a fork child's entry returns to st_ctx_fork when it completed
+/// inline: the context saved by that st_ctx_fork call, and the msg it
+/// runs on arrival.  Returned in RAX:RDX (two INTEGER eightbytes).
+struct ForkExit {
+  void* sp;
+  SwitchMsg* msg;
+};
+
+/// Entry signature for st_ctx_fork's child: fn(arg).  It either returns
+/// to st_ctx_fork (see there) or leaves by st_ctx_swap and never returns.
+using ForkEntry = ForkExit (*)(void* arg);
+
 /// Fused "save me + enter a fresh child" switch, the fork fast path:
 /// saves the current context into *save_sp (same layout as st_ctx_swap),
-/// adopts the empty stack ending at stack_top and calls fn(nullptr, arg)
-/// directly -- no st_ctx_prepare frame, no boot trampoline.  fn must
-/// never return.  When the saved context is resumed by a later
-/// st_ctx_swap, st_ctx_fork appears to return the carried msg.
-void* st_ctx_fork(void** save_sp, void* stack_top, ContextEntry fn, void* arg) noexcept;
+/// adopts the empty stack ending at stack_top and calls fn(arg) directly
+/// -- no st_ctx_prepare frame, no boot trampoline.  fn may return only
+/// the context this call saved: st_ctx_fork then restores it with `ret`,
+/// which the parent's own call predicts, and appears to return the msg
+/// (which must not live on the child's stack).  When fn instead leaves
+/// by st_ctx_swap, a later st_ctx_swap to the saved context makes
+/// st_ctx_fork appear to return the msg carried by that switch.
+void* st_ctx_fork(void** save_sp, void* stack_top, ForkEntry fn, void* arg) noexcept;
 
 }  // extern "C"
+
+static_assert(sizeof(ForkExit) == 16, "ForkExit must come back in RAX:RDX");
 
 /// Builds an initial context on [stack_base, stack_base+size): returns the
 /// sp to pass to st_ctx_swap so that execution enters fn(msg, arg) on the

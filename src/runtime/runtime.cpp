@@ -103,20 +103,88 @@ inline void record_resume_latency(Worker* w, Continuation* c) noexcept {
   }
 }
 
-/// Entry point of every forked computation (reached through st_ctx_boot).
-void child_entry(void* raw_msg, void* arg) {
-  run_switch_msg(static_cast<SwitchMsg*>(raw_msg));
-  auto* s = static_cast<Stacklet*>(arg);
+// Under TSan the fork child's exit announces the switch to its
+// destination's fiber and then still returns (into st_ctx_fork's tail).
+// The functions doing that must not be instrumented: a __tsan_func_exit
+// after the switch would pop a frame off the destination fiber's shadow
+// stack.  GCC's no_sanitize("thread") drops the entry/exit hooks too;
+// clang keeps them there, so it gets the stronger attribute.
+#if ST_TSAN_FIBERS && defined(__clang__)
+#define ST_FIBER_EXIT __attribute__((disable_sanitizer_instrumentation))
+#elif ST_TSAN_FIBERS
+#define ST_FIBER_EXIT __attribute__((no_sanitize("thread")))
+#else
+#define ST_FIBER_EXIT
+#endif
+
+/// Runs a computation's closure, counts its completion and arms its exit
+/// msg: the stacklet must outlive this stack, so the destination context
+/// releases it.  Returns the worker the computation finished on (it may
+/// have migrated since it started).
+Worker* run_child(Stacklet* s) {
   s->invoke(s->closure);
-  // Completed.  tl_worker is re-read: the computation may have migrated.
   Worker* w = tl_worker;
   ++w->stats().tasks_completed;
   w->trace(stu::kTraceTaskComplete, reinterpret_cast<std::uintptr_t>(s));
-  // The stacklet must outlive this stack; the destination context releases
-  // it (the msg lives on this dying stack, which stays mapped and
-  // unreusable until the release actually runs).
-  SwitchMsg release{&release_stacklet_cb, s};
-  detail::finish_current(&release);
+  s->exit_msg = SwitchMsg{&release_stacklet_cb, s};
+  return w;
+}
+
+/// Where a finished computation continues: the fork-deque head, or the
+/// scheduler when the chain is empty.  Under TSan this also hands the
+/// dying fiber to the destination (a fiber cannot destroy itself) and
+/// switches to the destination's fiber.
+ST_FIBER_EXIT void* exit_target(Worker* w, [[maybe_unused]] SwitchMsg* msg) {
+#if ST_TSAN_FIBERS
+  msg->dead_fiber = __tsan_get_current_fiber();
+#endif
+  if (!w->fork_deque().empty()) {
+    Continuation* p = w->fork_deque().pop_head();
+#if ST_TSAN_FIBERS
+    __tsan_switch_to_fiber(p->fiber, 0);
+#endif
+    return p->sp;
+  }
+#if ST_TSAN_FIBERS
+  __tsan_switch_to_fiber(w->scheduler_context().fiber, 0);
+#endif
+  return w->scheduler_context().sp;
+}
+
+/// Leaves a finished computation for good by the BTB-predicted jump of
+/// st_ctx_swap; the destination runs `msg` once this stack is quiescent.
+[[noreturn]] void leave(Worker* w, SwitchMsg* msg) {
+  void* target = exit_target(w, msg);
+  void* dummy;
+  st_ctx_swap(&dummy, target, msg);
+  __builtin_unreachable();
+}
+
+/// Entry of a forked computation, called by st_ctx_fork on the fresh
+/// stacklet.  A child that never left its parent's chain -- it finished
+/// on the worker that forked it, that worker suspended nothing in
+/// between, and the parent's record was not stolen, so it is the deque
+/// head -- returns the parent's context to st_ctx_fork, whose `ret`
+/// consumes the RSB entry of the parent's `call st_ctx_fork`.  Any other
+/// child leaves by jumping: the RSB no longer holds its callers, so
+/// returning through the tail would add mispredicted `ret`s
+/// (BM_SuspendResume measures this).
+ST_FIBER_EXIT ForkExit child_entry(void* arg) {
+  auto* s = static_cast<Stacklet*>(arg);
+  Worker* w = run_child(s);
+  const bool inline_exit = w == s->fork_worker &&
+                           w->stats().suspends == s->fork_suspends &&
+                           !w->fork_deque().empty();
+  if (!inline_exit) [[unlikely]] leave(w, &s->exit_msg);
+  return {exit_target(w, &s->exit_msg), &s->exit_msg};
+}
+
+/// Entry of a root computation (reached through st_ctx_boot, which has
+/// nothing to return to): it always leaves by jumping.
+void root_entry(void* raw_msg, void* arg) {
+  run_switch_msg(static_cast<SwitchMsg*>(raw_msg));
+  auto* s = static_cast<Stacklet*>(arg);
+  leave(run_child(s), &s->exit_msg);
 }
 
 }  // namespace
@@ -126,29 +194,6 @@ void child_entry(void* raw_msg, void* arg) {
 // ---------------------------------------------------------------------
 
 namespace detail {
-
-[[noreturn]] void finish_current(SwitchMsg* msg) {
-  Worker* w = tl_worker;
-  void* target;
-#if ST_TSAN_FIBERS
-  msg->dead_fiber = __tsan_get_current_fiber();
-#endif
-  if (!w->fork_deque().empty()) {
-    Continuation* p = w->fork_deque().pop_head();
-    target = p->sp;
-#if ST_TSAN_FIBERS
-    __tsan_switch_to_fiber(p->fiber, 0);
-#endif
-  } else {
-    target = w->scheduler_context().sp;
-#if ST_TSAN_FIBERS
-    __tsan_switch_to_fiber(w->scheduler_context().fiber, 0);
-#endif
-  }
-  void* dummy;
-  st_ctx_swap(&dummy, target, msg);
-  __builtin_unreachable();
-}
 
 void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s) {
   Worker* w = tl_worker;
@@ -161,6 +206,8 @@ void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s) {
   if (w->poll_word() != 0) [[unlikely]] w->fork_poll_slow(s);
   s->invoke = invoke;
   s->closure = closure;
+  s->fork_worker = w;
+  s->fork_suspends = w->stats().suspends;
   Continuation parent;  // this worker's deques never outlive this frame's liveness
   w->fork_deque().push_head(&parent);
   w->maybe_publish_depth();
@@ -759,7 +806,7 @@ void Worker::scheduler_loop() {
       static_assert(sizeof(Root) <= Stacklet::kClosureBytes);
       s->closure = new (s->closure_area()) Root(std::move(root));
       s->invoke = &detail::invoke_closure<Root>;
-      void* sp = st_ctx_prepare(s->stack_base(), s->stack_bytes(), &child_entry, s);
+      void* sp = st_ctx_prepare(s->stack_base(), s->stack_bytes(), &root_entry, s);
       Continuation root_ctx{sp};
 #if ST_TSAN_FIBERS
       root_ctx.fiber = __tsan_create_fiber(0);

@@ -263,11 +263,6 @@ class Runtime {
 
 namespace detail {
 
-/// Leaves the current computation for good: jump to the parent
-/// continuation (fork-deque head) or the scheduler.  `msg` runs on the
-/// destination once this stack is quiescent.
-[[noreturn]] void finish_current(SwitchMsg* msg);
-
 /// Non-template part of fork: runs `invoke(closure)` on stacklet `s` as a
 /// new fine-grain thread, pushing the caller's continuation as a fork
 /// record.  Returns when the child finishes or suspends, or -- if the

@@ -44,9 +44,12 @@
 #include <memory>
 #include <vector>
 
+#include "runtime/context.hpp"
+
 namespace st {
 
 class StackRegion;
+class Worker;
 
 /// One computation's stack.  The header sits at the slot's low end; the
 /// machine stack grows down from the slot's high end toward it.  A small
@@ -59,6 +62,16 @@ struct Stacklet {
   std::size_t bytes;    ///< total slot size including this header
   void (*invoke)(void*) = nullptr;  ///< type-erased entry for the closure
   void* closure = nullptr;          ///< points into closure_area()
+  /// Fork-time snapshot of the forking worker and its suspend count: a
+  /// child that completes on the same worker with the count unchanged
+  /// never left its parent's chain, so its exit may `ret` to the parent.
+  Worker* fork_worker = nullptr;
+  std::uint64_t fork_suspends = 0;
+  /// The completion msg (release this stacklet) handed to the context the
+  /// child exits to.  It lives here, not on the child's stack: st_ctx_fork's
+  /// tail still runs on that stack after the entry's frame is popped, and
+  /// a signal arriving there would reuse the space below rsp.
+  SwitchMsg exit_msg;
 
   char* closure_area() noexcept { return reinterpret_cast<char*>(this + 1); }
   static constexpr std::size_t kClosureBytes = 256;

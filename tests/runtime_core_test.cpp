@@ -1,12 +1,17 @@
 // End-to-end tests of the native runtime: fork fast path, LIFO order,
-// suspend/resume/restart, migration via the polling steal protocol, and
-// randomized fork-tree stress across worker counts.
+// suspend/resume/restart, migration via the polling steal protocol,
+// every exit a fork child can take, and randomized fork-tree stress
+// across worker counts.
 #include "runtime/runtime.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/time.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <thread>
 #include <vector>
 
 #include "sync/join_counter.hpp"
@@ -256,6 +261,151 @@ TEST(RuntimeCore, LeafPollServesSteal) {
   EXPECT_FALSE(timed_out);
   EXPECT_TRUE(stolen.load());
   EXPECT_GE(rt.stats().steals_served, 1u);
+}
+
+// Every stacklet is back in its region once the runtime is quiescent.
+// The last release runs on the destination of the final switch, which
+// may trail run()'s return by a moment, hence the bounded wait.
+bool all_stacklets_released(st::Runtime& rt) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    std::size_t live = 0;
+    for (unsigned i = 0; i < rt.num_workers(); ++i) live += rt.worker(i).region().live_slots();
+    if (live == 0) return true;
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+}
+
+TEST(RuntimeCore, ChildOfStolenParentExitsOnVictim) {
+  // The child polls until a thief has taken its parent's continuation,
+  // so it finishes on the victim with its parent gone: a grandchild
+  // forked then exits to the victim's deque head (the child), and the
+  // child exits to the victim's scheduler (its deque is empty).
+  st::Runtime rt(2);
+  std::atomic<bool> stolen{false};
+  bool timed_out = false;
+  unsigned root_worker = ~0u, grandchild_worker = ~0u, child_end_worker = ~0u;
+  int after_grandchild = 0;
+  rt.run([&] {
+    root_worker = st::worker_id();
+    st::JoinCounter jc(1);
+    st::fork([&] {
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!stolen.load(std::memory_order_acquire)) {
+        st::poll();
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out = true;
+          break;
+        }
+      }
+      int g = 0;
+      st::fork([&] {
+        g = 1;
+        grandchild_worker = st::worker_id();
+      });
+      after_grandchild = g + 1;
+      child_end_worker = st::worker_id();
+      jc.finish();
+    });
+    if (st::worker_id() != root_worker) stolen.store(true, std::memory_order_release);
+    jc.join();
+  });
+  ASSERT_FALSE(timed_out);
+  EXPECT_TRUE(stolen.load());
+  EXPECT_EQ(grandchild_worker, root_worker);
+  EXPECT_EQ(after_grandchild, 2);
+  EXPECT_EQ(child_end_worker, root_worker);
+  // Both workers came back to their schedulers in working order.
+  long result = 0;
+  rt.run([&] { result = pfib(15); });
+  EXPECT_EQ(result, 610);
+  EXPECT_TRUE(all_stacklets_released(rt));
+}
+
+TEST(RuntimeCore, ChildResumedOnAnotherWorkerCompletesThere) {
+  // The child suspends; resume() puts it at the tail of the forking
+  // worker's readyq, and the root keeps that worker busy at poll points
+  // until a thief has taken the child and run it to completion.
+  st::Runtime rt(2);
+  constexpr unsigned kNone = ~0u;
+  std::atomic<unsigned> end_worker{kNone};
+  unsigned fork_worker = kNone;
+  int grandchild_ran = 0;
+  bool timed_out = false;
+  rt.run([&] {
+    fork_worker = st::worker_id();
+    st::Continuation c;
+    st::JoinCounter jc(1);
+    st::fork([&] {
+      st::suspend(&c);
+      st::fork([&] { ++grandchild_ran; });  // exits inline on the new worker
+      end_worker.store(st::worker_id(), std::memory_order_release);
+      jc.finish();
+    });
+    st::resume(&c);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (end_worker.load(std::memory_order_acquire) == kNone) {
+      st::poll();
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        break;
+      }
+    }
+    jc.join();
+  });
+  ASSERT_FALSE(timed_out);
+  EXPECT_NE(end_worker.load(), fork_worker);
+  EXPECT_EQ(grandchild_ran, 1);
+  EXPECT_TRUE(all_stacklets_released(rt));
+}
+
+std::atomic<long> g_prof_signals{0};
+
+void scribble_stack(int) {
+  // Overwrite the stack below the interrupted rsp: anything a switch
+  // still needed there (an exit msg under a popped frame) is destroyed.
+  volatile unsigned char buf[2048];
+  for (std::size_t i = 0; i < sizeof(buf); ++i) buf[i] = 0xA5;
+  g_prof_signals.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(RuntimeCore, ForkExitSurvivesSignalStorm) {
+  // ITIMER_PROF fires on the process's CPU time, which the lone worker
+  // spends forking and exiting children; the handler scribbles the stack
+  // it lands on.  The calling thread blocks SIGPROF (the worker, created
+  // before, does not), so the storm hits the worker.
+  st::Runtime rt(1);
+  struct sigaction sa {}, old_sa {};
+  sa.sa_handler = &scribble_stack;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = SA_RESTART;
+  ASSERT_EQ(sigaction(SIGPROF, &sa, &old_sa), 0);
+  sigset_t prof, old_mask;
+  sigemptyset(&prof);
+  sigaddset(&prof, SIGPROF);
+  pthread_sigmask(SIG_BLOCK, &prof, &old_mask);
+  g_prof_signals.store(0);
+  const itimerval storm{{0, 100}, {0, 100}};
+  const itimerval off{};
+  setitimer(ITIMER_PROF, &storm, nullptr);
+  long rounds = 0, wrong = 0;
+  rt.run([&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (g_prof_signals.load(std::memory_order_relaxed) < 200 &&
+           std::chrono::steady_clock::now() < deadline) {
+      if (pfib(20) != 6765) ++wrong;
+      ++rounds;
+    }
+  });
+  setitimer(ITIMER_PROF, &off, nullptr);
+  pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
+  sigaction(SIGPROF, &old_sa, nullptr);
+  EXPECT_EQ(wrong, 0);
+  EXPECT_GT(rounds, 0);
+  EXPECT_GT(g_prof_signals.load(), 0);
+  EXPECT_TRUE(all_stacklets_released(rt));
+  EXPECT_EQ(rt.stats().heap_fallbacks, 0u);
 }
 
 TEST(RuntimeCore, ExceptionsInsideTaskAreFineIfCaught) {
